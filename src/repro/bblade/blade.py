@@ -9,83 +9,86 @@ extensibility story of Step 4.
 
 Keys are the column type's binary ``send()`` representation; the
 comparator UDR receives the *decoded* values.
+
+:class:`OrderedKeyBlade` is the B+-tree family's shared strategy code --
+ranges, commuted forms, key bounds, the comparator, the strategy UDRs
+and their per-type registration -- used by this blade and the hybrid
+blade (:mod:`repro.hblade`).
 """
 
 from __future__ import annotations
 
-import struct
-from typing import Any, Dict, List, Optional, Tuple
+import operator
+from typing import Any, List, Optional, Tuple
 
 from repro.btree.node import BTreeNodeStore
 from repro.btree.tree import BPlusTree
-from repro.datablade.blob import BladeBlob
+from repro.datablade.amkit import AccessMethodKit
 from repro.server.access_method import (
-    BooleanOperator,
-    CompoundQualification,
     IndexDescriptor,
-    Qualification,
     RowReference,
     ScanDescriptor,
-    SimpleQualification,
 )
 from repro.server.errors import AccessMethodError
-from repro.storage.buffer import BufferPool
-from repro.storage.sbspace import LargeObjectHandle, OpenMode
 
-_META = struct.Struct("<4sqqq")
-_META_MAGIC = b"BTB1"
+#: Types with binary send/receive, natural comparison, and stable repr.
+INDEXABLE_TYPES = ("INTEGER", "FLOAT", "DATE", "LVARCHAR")
 
-#: Strategy name -> (low, high, low_inclusive, high_inclusive) template,
-#: with `K` standing for the constant key.
-_RANGES = {
-    "equal": ("K", "K", True, True),
-    "greaterthan": ("K", None, False, True),
-    "greaterthanorequal": ("K", None, True, True),
-    "lessthan": (None, "K", True, False),
-    "lessthanorequal": (None, "K", True, True),
-}
-
-#: Commuted strategy when the constant is the first argument:
-#: GreaterThan(c, col) means col < c, and so on.
-_COMMUTED = {
-    "equal": "equal",
-    "greaterthan": "lessthan",
-    "greaterthanorequal": "lessthanorequal",
-    "lessthan": "greaterthan",
-    "lessthanorequal": "greaterthanorequal",
-}
+#: (strategy, symbol tag, test on the natural comparison, range template
+#: (low, high, low_inclusive, high_inclusive) with ``K`` standing for the
+#: constant key, commuted strategy): ``GreaterThan(c, col)`` means
+#: ``col < c``, and so on.
+_STRATEGIES = (
+    ("Equal", "equal", operator.eq, ("K", "K", True, True), "Equal"),
+    ("GreaterThan", "gt", operator.gt, ("K", None, False, True), "LessThan"),
+    ("GreaterThanOrEqual", "ge", operator.ge, ("K", None, True, True),
+     "LessThanOrEqual"),
+    ("LessThan", "lt", operator.lt, (None, "K", True, False), "GreaterThan"),
+    ("LessThanOrEqual", "le", operator.le, (None, "K", True, True),
+     "GreaterThanOrEqual"),
+)
+_RANGES = {name.lower(): template for name, _, _, template, _ in _STRATEGIES}
+_COMMUTED = {name.lower(): commuted.lower() for name, *_, commuted in _STRATEGIES}
 
 
-class BTreeDataBlade:
-    LIBRARY_PATH = "usr/functions/btree.bld"
-    AM_NAME = "btree_am"
-    OPCLASS_NAME = "btree_ops"
-    METADATA_TABLE = "btree_indexdata"
+def _natural(a, b) -> int:
+    return (a > b) - (a < b)
 
-    def __init__(self, server, buffer_capacity: int = 64) -> None:
-        self.server = server
-        self.buffer_capacity = buffer_capacity
 
-    # ------------------------------------------------------------------
-    # Key codec and dynamic comparator resolution
-    # ------------------------------------------------------------------
+def _canonical(value: Any) -> Any:
+    """Collapse comparator-equal values with distinct encodings.
+
+    The hash path matches on encoded bytes, so the codec must be
+    injective up to ``HB_Compare`` equality; IEEE floats violate that
+    once (``-0.0 == 0.0`` but the ``send()`` bytes differ).
+    """
+    if isinstance(value, float) and value == 0.0:
+        return 0.0
+    return value
+
+
+class OrderedKeyBlade(AccessMethodKit):
+    """A blade over encoded keys ordered by an opclass comparator."""
+
+    #: Support functions: (SQL name, arity, symbol, callable).
+    SUPPORTS: Tuple[Tuple[str, int, str, Any], ...] = ()
 
     def _key_type(self, td: IndexDescriptor):
         return self.server.catalog.types.get(td.column_types[0])
 
+    def _support_name(self, td: IndexDescriptor, needle: str) -> str:
+        opclass = self.server.catalog.opclasses.get(td.opclass_names[0])
+        for name in opclass.supports:
+            if needle in name.lower():
+                return name
+        raise AccessMethodError(
+            f"operator class {opclass.name} declares no {needle} support"
+        )
+
     def _comparator(self, td: IndexDescriptor):
         """Resolve the opclass's Compare support function dynamically --
         the non-hard-coded design of Section 5.2."""
-        opclass = self.server.catalog.opclasses.get(td.opclass_names[0])
-        compare_name = None
-        for name in opclass.supports:
-            if "compare" in name.lower():
-                compare_name = name
-                break
-        if compare_name is None:
-            raise AccessMethodError(
-                f"operator class {opclass.name} declares no Compare support"
-            )
+        compare_name = self._support_name(td, "compare")
         key_type = self._key_type(td)
         type_name = key_type.name
         routines = self.server.catalog.routines
@@ -97,198 +100,44 @@ class BTreeDataBlade:
 
         return compare
 
-    # ------------------------------------------------------------------
-    # Purpose functions
-    # ------------------------------------------------------------------
-
-    def bt_create(self, td: IndexDescriptor) -> int:
-        if len(td.columns) != 1:
-            raise AccessMethodError(f"{self.AM_NAME} indexes exactly one column")
-        space = self.server.get_sbspace(td.space_name)
-        blob = BladeBlob.create(space)
-        self.server.catalog.get_table(self.METADATA_TABLE).insert_row(
-            {"indexname": td.index_name, "blobhandle": blob.handle.value}
-        )
-        blob.open(td.session, OpenMode.WRITE)
-        pool = BufferPool(blob.page_store(), capacity=self.buffer_capacity)
-        meta_page = pool.allocate()
-        tree = BPlusTree(BTreeNodeStore(pool), self._comparator(td))
-        td.user_data.update(
-            {"tree": tree, "blob": blob, "pool": pool, "meta_page": meta_page}
-        )
-        return 0
-
-    def bt_open(self, td: IndexDescriptor) -> int:
-        if "tree" in td.user_data:
-            return 0
-        meta_table = self.server.catalog.get_table(self.METADATA_TABLE)
-        handle_text = None
-        for _, row in meta_table.scan():
-            if row["indexname"] == td.index_name:
-                handle_text = row["blobhandle"]
-                break
-        if handle_text is None:
-            raise AccessMethodError(f"no metadata for index {td.index_name}")
-        space = self.server.get_sbspace(td.space_name)
-        blob = BladeBlob(space, LargeObjectHandle(handle_text))
-        blob.open(td.session, OpenMode.READ)
-        pool = BufferPool(blob.page_store(), capacity=self.buffer_capacity)
-        magic, root_id, height, size = _META.unpack_from(pool.read(0), 0)
-        if magic != _META_MAGIC:
-            raise AccessMethodError(f"index {td.index_name} storage is corrupt")
-        tree = BPlusTree(
-            BTreeNodeStore(pool), self._comparator(td),
-            root_id=root_id, height=height, size=size,
-        )
-        td.user_data.update(
-            {"tree": tree, "blob": blob, "pool": pool, "meta_page": 0}
-        )
-        return 0
-
-    def bt_close(self, td: IndexDescriptor) -> int:
-        tree: BPlusTree = td.user_data["tree"]
-        pool: BufferPool = td.user_data["pool"]
-        blob: BladeBlob = td.user_data["blob"]
-        if blob._open_mode is OpenMode.WRITE:
-            pool.write(
-                td.user_data["meta_page"],
-                _META.pack(_META_MAGIC, tree.root_id, tree.height, tree.size),
-            )
-        pool.flush()
-        blob.close()
-        td.user_data.clear()
-        return 0
-
-    def bt_drop(self, td: IndexDescriptor) -> int:
-        if "tree" not in td.user_data:
-            self.bt_open(td)
-        td.user_data["blob"].drop()
-        td.user_data.clear()
-        meta_table = self.server.catalog.get_table(self.METADATA_TABLE)
-        for rowid, row in meta_table.scan():
-            if row["indexname"] == td.index_name:
-                meta_table.delete_row(rowid)
-                break
-        return 0
-
-    # -- scanning ------------------------------------------------------
-
-    def bt_beginscan(self, sd: ScanDescriptor) -> int:
-        if sd.qualification is None:
-            raise AccessMethodError("bt_beginscan needs a qualification")
-        tree: BPlusTree = sd.index.user_data["tree"]
-        key_type = self._key_type(sd.index)
-        branches = self._to_dnf(sd.qualification)
-        sd.user_data["scan"] = _BScan(tree, key_type, branches)
-        return 0
-
-    def bt_rescan(self, sd: ScanDescriptor) -> int:
-        sd.user_data["scan"].reset()
-        return 0
-
-    def bt_getnext(self, sd: ScanDescriptor) -> Optional[RowReference]:
-        return sd.user_data["scan"].next()
-
-    def bt_endscan(self, sd: ScanDescriptor) -> int:
-        sd.user_data.pop("scan", None)
-        return 0
-
-    # -- updates ----------------------------------------------------------
-
-    def bt_insert(self, td: IndexDescriptor, newrow, newrowid: int) -> int:
-        td.user_data["blob"].ensure_writable()
-        key = self._key_type(td).send(newrow[0])
-        td.user_data["tree"].insert(key, newrowid)
-        return 0
-
-    def bt_delete(self, td: IndexDescriptor, oldrow, oldrowid: int) -> int:
-        td.user_data["blob"].ensure_writable()
-        key = self._key_type(td).send(oldrow[0])
-        if not td.user_data["tree"].delete(key, oldrowid):
+    def _leaf(self, td: IndexDescriptor, qual) -> Tuple[str, Any]:
+        name = qual.function.lower()
+        if name.startswith(self.PREFIX + "_"):
+            name = name[len(self.PREFIX) + 1:]
+        if name not in _RANGES:
             raise AccessMethodError(
-                f"index {td.index_name} has no entry for rowid {oldrowid}"
+                f"{qual.function} is not a {self.AM_NAME} strategy function"
             )
-        return 0
+        if qual.constant_first:
+            name = _COMMUTED[name]
+        return name, qual.constant
 
-    def bt_update(self, td, oldrow, oldrowid: int, newrow, newrowid: int) -> int:
-        self.bt_delete(td, oldrow, oldrowid)
-        self.bt_insert(td, newrow, newrowid)
-        return 0
-
-    def bt_scancost(self, sd: ScanDescriptor) -> float:
-        tree = sd.index.user_data.get("tree")
-        height = tree.height if tree is not None else 2
-        return float(height + len(self._to_dnf(sd.qualification)))
-
-    def bt_stats(self, td: IndexDescriptor) -> Dict[str, float]:
-        return td.user_data["tree"].stats()
-
-    def bt_check(self, td: IndexDescriptor) -> int:
-        try:
-            td.user_data["tree"].check()
-        except AssertionError as exc:
-            raise AccessMethodError(f"index {td.index_name} corrupt: {exc}") from exc
-        return 0
-
-    # -- qualification handling ------------------------------------------
-
-    def _to_dnf(self, qual: Qualification):
-        if isinstance(qual, SimpleQualification):
-            name = qual.function.lower()
-            if name.startswith("bt_"):
-                name = name[3:]
-            if name not in _RANGES:
-                raise AccessMethodError(
-                    f"{qual.function} is not a B+-tree strategy function"
-                )
-            if qual.constant_first:
-                name = _COMMUTED[name]
-            return [[(name, qual.constant)]]
-        assert isinstance(qual, CompoundQualification)
-        child_dnfs = [self._to_dnf(c) for c in qual.children]
-        if qual.operator is BooleanOperator.OR:
-            return [branch for dnf in child_dnfs for branch in dnf]
-        result = [[]]
-        for dnf in child_dnfs:
-            result = [prefix + branch for prefix in result for branch in dnf]
-        return result
-
-    # ------------------------------------------------------------------
-
-    def exports(self) -> Dict[str, Any]:
-        purpose = {
-            "bt_create": self.bt_create,
-            "bt_drop": self.bt_drop,
-            "bt_open": self.bt_open,
-            "bt_close": self.bt_close,
-            "bt_beginscan": self.bt_beginscan,
-            "bt_endscan": self.bt_endscan,
-            "bt_rescan": self.bt_rescan,
-            "bt_getnext": self.bt_getnext,
-            "bt_insert": self.bt_insert,
-            "bt_delete": self.bt_delete,
-            "bt_update": self.bt_update,
-            "bt_scancost": self.bt_scancost,
-            "bt_stats": self.bt_stats,
-            "bt_check": self.bt_check,
-        }
-        strategies = {
-            "bt_equal_udr": lambda a, b: _natural(a, b) == 0,
-            "bt_gt_udr": lambda a, b: _natural(a, b) > 0,
-            "bt_ge_udr": lambda a, b: _natural(a, b) >= 0,
-            "bt_lt_udr": lambda a, b: _natural(a, b) < 0,
-            "bt_le_udr": lambda a, b: _natural(a, b) <= 0,
-            "bt_compare_udr": _natural,
-        }
-        return {**purpose, **strategies}
+    def install_family(self) -> None:
+        """Register the five strategies and the opclass supports for
+        every indexable type, with the commutator hints."""
+        family = self.PREFIX.upper()
+        udrs = []
+        for type_name in INDEXABLE_TYPES:
+            for name, tag, test, _, _ in _STRATEGIES:
+                udrs.append((
+                    f"{family}_{name}", (type_name, type_name), "boolean",
+                    f"{self.PREFIX}_{tag}_udr",
+                    lambda a, b, test=test: test(_natural(a, b), 0),
+                ))
+            for name, arity, symbol, fn in self.SUPPORTS:
+                udrs.append((name, (type_name,) * arity, "int", symbol, fn))
+        strategies = [f"{family}_{name}" for name, *_ in _STRATEGIES]
+        supports = [name for name, *_ in self.SUPPORTS]
+        self.install(
+            udrs,
+            [(self.OPCLASS_NAME, True, strategies, supports)],
+            {f"{family}_{name}": f"{family}_{c}" for name, *_, c in _STRATEGIES},
+        )
 
 
-def _natural(a, b) -> int:
-    return (a > b) - (a < b)
-
-
-class _BScan:
-    """DNF scan over the B+-tree with cross-branch de-duplication."""
+class KeyScan:
+    """Materialized DNF scan over encoded keys, de-duplicated across
+    branches; each branch is one key range of the tree."""
 
     def __init__(self, tree: BPlusTree, key_type, branches) -> None:
         self.tree = tree
@@ -296,14 +145,13 @@ class _BScan:
         self.branches = branches
         self.reset()
 
-    def _bounds(self, branch):
+    def bounds(self, branch):
         """Intersect the branch's range predicates into one interval."""
         low = high = None
         low_inc = high_inc = True
         for name, constant in branch:
-            key = self.key_type.send(constant)
-            template = _RANGES[name]
-            t_low, t_high, t_low_inc, t_high_inc = template
+            key = self.key_type.send(_canonical(constant))
+            t_low, t_high, t_low_inc, t_high_inc = _RANGES[name]
             if t_low == "K":
                 if low is None or self.tree.compare(key, low) > 0 or (
                     self.tree.compare(key, low) == 0 and not t_low_inc
@@ -316,15 +164,18 @@ class _BScan:
                     high, high_inc = key, t_high_inc
         return low, high, low_inc, high_inc
 
+    def probe(self, branch) -> List[Tuple[int, int, bytes]]:
+        return [
+            (rowid, fragid, key)
+            for key, rowid, fragid in self.tree.search_range(*self.bounds(branch))
+        ]
+
     def reset(self) -> None:
         self._results: List[Tuple[int, int, bytes]] = []
         self._pos = 0
         seen = set()
         for branch in self.branches:
-            low, high, low_inc, high_inc = self._bounds(branch)
-            for key, rowid, fragid in self.tree.search_range(
-                low, high, low_inc, high_inc
-            ):
+            for rowid, fragid, key in self.probe(branch):
                 if (rowid, fragid) not in seen:
                     seen.add((rowid, fragid))
                     self._results.append((rowid, fragid, key))
@@ -339,68 +190,39 @@ class _BScan:
         )
 
 
-def register_btree_blade(server, buffer_capacity: int = 64) -> BTreeDataBlade:
+class BTreeDataBlade(OrderedKeyBlade):
+    PREFIX = "bt"
+    LIBRARY_PATH = "usr/functions/btree.bld"
+    AM_NAME = "btree_am"
+    OPCLASS_NAME = "btree_ops"
+    METADATA_TABLE = "btree_indexdata"
+    META_MAGIC = b"BTB1"
+    SUPPORTS = (("Compare", 2, "bt_compare_udr", _natural),)
+
+    def _build(self, td: IndexDescriptor, pools, row):
+        meta = self._meta(td, pools[0], row)
+        return {
+            "tree": BPlusTree(
+                BTreeNodeStore(pools[0]), self._comparator(td), **meta
+            )
+        }
+
+    def _key(self, td: IndexDescriptor, value: Any) -> bytes:
+        return self._key_type(td).send(value)
+
+    def _scan(self, td: IndexDescriptor, branches) -> KeyScan:
+        return KeyScan(self._tree(td), self._key_type(td), branches)
+
+    def bt_scancost(self, sd: ScanDescriptor) -> float:
+        tree = sd.index.user_data.get("tree")
+        height = tree.height if tree is not None else 2
+        return float(height + len(self._branches(sd.index, sd.qualification)))
+
+
+def register_btree_blade(server) -> BTreeDataBlade:
     """Install the B+-tree DataBlade; indexable types: INTEGER, FLOAT,
     DATE, LVARCHAR (anything with binary send/receive and a comparator
     overload)."""
-    blade = BTreeDataBlade(server, buffer_capacity=buffer_capacity)
-    server.library.register_module(BTreeDataBlade.LIBRARY_PATH, blade.exports())
-
-    statements: List[str] = []
-    for symbol in (
-        "bt_create", "bt_drop", "bt_open", "bt_close", "bt_beginscan",
-        "bt_endscan", "bt_rescan", "bt_getnext", "bt_insert", "bt_delete",
-        "bt_update", "bt_scancost", "bt_stats", "bt_check",
-    ):
-        statements.append(
-            f"CREATE FUNCTION {symbol}(pointer) RETURNING int "
-            f"EXTERNAL NAME '{blade.LIBRARY_PATH}({symbol})' LANGUAGE c"
-        )
-    for type_name in ("INTEGER", "FLOAT", "DATE", "LVARCHAR"):
-        for name, symbol in (
-            ("BT_Equal", "bt_equal_udr"),
-            ("BT_GreaterThan", "bt_gt_udr"),
-            ("BT_GreaterThanOrEqual", "bt_ge_udr"),
-            ("BT_LessThan", "bt_lt_udr"),
-            ("BT_LessThanOrEqual", "bt_le_udr"),
-        ):
-            statements.append(
-                f"CREATE FUNCTION {name}({type_name}, {type_name}) "
-                f"RETURNING boolean "
-                f"EXTERNAL NAME '{blade.LIBRARY_PATH}({symbol})' LANGUAGE c"
-            )
-        statements.append(
-            f"CREATE FUNCTION Compare({type_name}, {type_name}) "
-            f"RETURNING int "
-            f"EXTERNAL NAME '{blade.LIBRARY_PATH}(bt_compare_udr)' LANGUAGE c"
-        )
-    slots = ", ".join(
-        f"am_{slot} = bt_{slot}"
-        for slot in (
-            "create", "drop", "open", "close", "beginscan", "endscan",
-            "rescan", "getnext", "insert", "delete", "update", "scancost",
-            "stats", "check",
-        )
-    )
-    statements.append(
-        f'CREATE SECONDARY ACCESS_METHOD {blade.AM_NAME} ({slots}, '
-        f'am_sptype = "S")'
-    )
-    statements.append(
-        f"CREATE DEFAULT OPCLASS {blade.OPCLASS_NAME} FOR {blade.AM_NAME} "
-        f"STRATEGIES(BT_Equal, BT_GreaterThan, BT_GreaterThanOrEqual, "
-        f"BT_LessThan, BT_LessThanOrEqual) "
-        f"SUPPORT(Compare)"
-    )
-    statements.append(
-        f"CREATE TABLE {blade.METADATA_TABLE} "
-        f"(indexname LVARCHAR, blobhandle LVARCHAR)"
-    )
-    with server.provisioning():
-        server.run_script(";\n".join(statements))
-
-    routines = server.catalog.routines
-    routines.set_commutator("BT_GreaterThan", "BT_LessThanOrEqual")
-    routines.set_commutator("BT_LessThanOrEqual", "BT_GreaterThan")
-    routines.set_negator("BT_Equal", "BT_NotEqual")
+    blade = BTreeDataBlade(server)
+    blade.install_family()
     return blade

@@ -9,25 +9,23 @@ real DataBlade project.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-#: (slot, symbol) pairs for the access-method registration.
-PURPOSE_FUNCTION_SYMBOLS: Tuple[Tuple[str, str], ...] = (
-    ("am_create", "grt_create"),
-    ("am_drop", "grt_drop"),
-    ("am_open", "grt_open"),
-    ("am_close", "grt_close"),
-    ("am_beginscan", "grt_beginscan"),
-    ("am_endscan", "grt_endscan"),
-    ("am_rescan", "grt_rescan"),
-    ("am_getnext", "grt_getnext"),
-    ("am_insert", "grt_insert"),
-    ("am_delete", "grt_delete"),
-    ("am_update", "grt_update"),
-    ("am_scancost", "grt_scancost"),
-    ("am_stats", "grt_stats"),
-    ("am_check", "grt_check"),
-)
+from repro.server.access_method import PURPOSE_SLOTS
+
+#: A UDR declaration: (SQL name, argument types, return type, symbol).
+Udr = Tuple[str, Sequence[str], str, str]
+#: An operator class: (name, is default, strategies, supports).
+Opclass = Tuple[str, bool, Sequence[str], Sequence[str]]
+
+
+def purpose_function_symbols(prefix: str) -> Tuple[Tuple[str, str], ...]:
+    """(slot, symbol) pairs for the access-method registration:
+    ``am_open`` -> ``<prefix>_open``."""
+    return tuple((slot, prefix + slot[2:]) for slot in PURPOSE_SLOTS)
+
+
+PURPOSE_FUNCTION_SYMBOLS = purpose_function_symbols("grt")
 
 STRATEGY_FUNCTIONS: Tuple[Tuple[str, str], ...] = (
     ("Overlaps", "grt_overlaps_udr"),
@@ -42,6 +40,25 @@ SUPPORT_FUNCTIONS: Tuple[Tuple[str, str], ...] = (
     ("GRT_Intersection", "grt_intersection_udr"),
 )
 
+GRT_METADATA_COLUMNS: Tuple[Tuple[str, str], ...] = (
+    ("indexname", "LVARCHAR"),
+    ("fragid", "INTEGER"),
+    ("blobhandle", "LVARCHAR"),
+    ("metapage", "INTEGER"),
+)
+
+
+def grt_udrs(type_name: str = "GRT_TimeExtent_t") -> List[Udr]:
+    """The GR-tree's strategy and support function declarations."""
+    udrs: List[Udr] = [
+        (name, (type_name, type_name), "boolean", symbol)
+        for name, symbol in STRATEGY_FUNCTIONS
+    ]
+    for name, symbol in SUPPORT_FUNCTIONS:
+        arity = 1 if name == "GRT_Size" else 2
+        udrs.append((name, (type_name,) * arity, "pointer", symbol))
+    return udrs
+
 
 def generate_register_script(
     library_path: str,
@@ -49,50 +66,52 @@ def generate_register_script(
     opclass_name: str = "grt_opclass",
     type_name: str = "GRT_TimeExtent_t",
     metadata_table: str = "grtree_indexdata",
+    prefix: str = "grt",
+    udrs: Optional[Sequence[Udr]] = None,
+    opclasses: Optional[Sequence[Opclass]] = None,
+    metadata_columns: Sequence[Tuple[str, str]] = GRT_METADATA_COLUMNS,
 ) -> str:
-    """The registration script BladeManager would run (Section 4 examples)."""
+    """The registration script BladeManager would run (Section 4
+    examples).  The defaults describe the GR-tree blade; other blades
+    pass their prefix, UDRs, operator classes and metadata columns."""
+    if udrs is None:
+        udrs = grt_udrs(type_name)
+    if opclasses is None:
+        opclasses = [(
+            opclass_name,
+            True,
+            [name for name, _ in STRATEGY_FUNCTIONS],
+            [name for name, _ in SUPPORT_FUNCTIONS],
+        )]
+    symbols = purpose_function_symbols(prefix)
     statements: List[str] = []
-    for _, symbol in PURPOSE_FUNCTION_SYMBOLS:
+    for _, symbol in symbols:
         statements.append(
             f"CREATE FUNCTION {symbol}(pointer) RETURNING int\n"
             f"  EXTERNAL NAME '{library_path}({symbol})' LANGUAGE c"
         )
-    for name, symbol in STRATEGY_FUNCTIONS:
+    for name, arg_types, return_type, symbol in udrs:
         statements.append(
-            f"CREATE FUNCTION {name}({type_name}, {type_name}) "
-            f"RETURNING boolean\n"
+            f"CREATE FUNCTION {name}({', '.join(arg_types)}) "
+            f"RETURNING {return_type}\n"
             f"  EXTERNAL NAME '{library_path}({symbol})' LANGUAGE c"
         )
-    for name, symbol in SUPPORT_FUNCTIONS:
-        arity = (
-            f"{type_name}" if name == "GRT_Size" else f"{type_name}, {type_name}"
-        )
-        statements.append(
-            f"CREATE FUNCTION {name}({arity}) RETURNING pointer\n"
-            f"  EXTERNAL NAME '{library_path}({symbol})' LANGUAGE c"
-        )
-    slots = ",\n    ".join(
-        f"{slot} = {symbol}" for slot, symbol in PURPOSE_FUNCTION_SYMBOLS
-    )
+    slots = ",\n    ".join(f"{slot} = {symbol}" for slot, symbol in symbols)
     statements.append(
         f"CREATE SECONDARY ACCESS_METHOD {am_name} (\n"
         f"    {slots},\n"
         f'    am_sptype = "S"\n)'
     )
-    strategy_list = ", ".join(name for name, _ in STRATEGY_FUNCTIONS)
-    support_list = ", ".join(name for name, _ in SUPPORT_FUNCTIONS)
-    statements.append(
-        f"CREATE DEFAULT OPCLASS {opclass_name} FOR {am_name}\n"
-        f"  STRATEGIES({strategy_list})\n"
-        f"  SUPPORT({support_list})"
-    )
-    statements.append(
-        f"CREATE TABLE {metadata_table} (\n"
-        f"  indexname LVARCHAR,\n"
-        f"  fragid INTEGER,\n"
-        f"  blobhandle LVARCHAR,\n"
-        f"  metapage INTEGER\n)"
-    )
+    for name, default, strategies, supports in opclasses:
+        lines = [
+            f"CREATE {'DEFAULT ' if default else ''}OPCLASS {name} FOR {am_name}",
+            f"  STRATEGIES({', '.join(strategies)})",
+        ]
+        if supports:
+            lines.append(f"  SUPPORT({', '.join(supports)})")
+        statements.append("\n".join(lines))
+    columns = ",\n".join(f"  {column} {kind}" for column, kind in metadata_columns)
+    statements.append(f"CREATE TABLE {metadata_table} (\n{columns}\n)")
     return ";\n\n".join(statements) + ";\n"
 
 

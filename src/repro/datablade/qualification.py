@@ -16,7 +16,7 @@ branch's remaining predicates, de-duplicating rowids across branches.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import Any, Callable, List
 
 from repro.grtree.entries import Predicate
 from repro.server.access_method import (
@@ -74,24 +74,23 @@ def resolve_simple(qual: SimpleQualification) -> SimplePredicate:
 
 def build_plan(qual: Qualification) -> QualificationPlan:
     """Normalize a qualification tree into DNF branches."""
-    return QualificationPlan(_to_dnf(qual))
+    return QualificationPlan(to_dnf(qual, resolve_simple))
 
 
-def _to_dnf(qual: Qualification) -> List[List[SimplePredicate]]:
+def to_dnf(
+    qual: Qualification, resolve: Callable[[SimpleQualification], Any]
+) -> List[list]:
+    """The generic AND/OR fold every blade shares: DNF as a list of OR
+    branches, each a list of ``resolve(leaf)`` for its simple predicates."""
     if isinstance(qual, SimpleQualification):
-        return [[resolve_simple(qual)]]
+        return [[resolve(qual)]]
     if not isinstance(qual, CompoundQualification):
         raise AccessMethodError(f"unsupported qualification node {qual!r}")
-    child_dnfs = [_to_dnf(child) for child in qual.children]
+    child_dnfs = [to_dnf(child, resolve) for child in qual.children]
     if qual.operator is BooleanOperator.OR:
-        branches: List[List[SimplePredicate]] = []
-        for dnf in child_dnfs:
-            branches.extend(dnf)
-        return branches
+        return [branch for dnf in child_dnfs for branch in dnf]
     # AND: the cross product of the children's branches.
-    result: List[List[SimplePredicate]] = [[]]
+    result: List[list] = [[]]
     for dnf in child_dnfs:
-        result = [
-            existing + branch for existing in result for branch in dnf
-        ]
+        result = [existing + branch for existing in result for branch in dnf]
     return result

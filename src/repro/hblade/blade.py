@@ -26,47 +26,22 @@ comparator equality -- the blade canonicalizes the one stock violation
 
 from __future__ import annotations
 
-import struct
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
+from repro.bblade.blade import (
+    KeyScan,
+    OrderedKeyBlade,
+    _RANGES,
+    _canonical,
+    _natural,
+)
 from repro.btree.node import BTreeNodeStore
 from repro.btree.tree import BPlusTree
-from repro.datablade.blob import BladeBlob
 from repro.hblade.check import verify_hybrid
 from repro.hblade.directory import HashDirectory, fnv1a
 from repro.hblade.guard import PrecisionGuard
-from repro.server.access_method import (
-    BooleanOperator,
-    CompoundQualification,
-    IndexDescriptor,
-    Qualification,
-    RowReference,
-    ScanDescriptor,
-    SimpleQualification,
-)
+from repro.server.access_method import IndexDescriptor, ScanDescriptor
 from repro.server.errors import AccessMethodError
-from repro.storage.buffer import BufferPool
-from repro.storage.sbspace import LargeObjectHandle, OpenMode
-
-_TREE_META = struct.Struct("<4sqqq")
-_TREE_MAGIC = b"HTB1"
-
-#: Strategy name -> (low, high, low_inclusive, high_inclusive) template.
-_RANGES = {
-    "equal": ("K", "K", True, True),
-    "greaterthan": ("K", None, False, True),
-    "greaterthanorequal": ("K", None, True, True),
-    "lessthan": (None, "K", True, False),
-    "lessthanorequal": (None, "K", True, True),
-}
-
-_COMMUTED = {
-    "equal": "equal",
-    "greaterthan": "lessthan",
-    "greaterthanorequal": "lessthanorequal",
-    "lessthan": "greaterthan",
-    "lessthanorequal": "greaterthanorequal",
-}
 
 #: am_scancost terms: a hash probe is one bucket chain, a tree branch a
 #: root-to-leaf descent plus leaf walking.
@@ -74,37 +49,36 @@ _POINT_COST = 1.5
 _RANGE_COST_PAD = 2.0
 
 
-def _canonical(value: Any) -> Any:
-    """Collapse comparator-equal values with distinct encodings.
-
-    The hash path matches on encoded bytes, so the codec must be
-    injective up to ``HB_Compare`` equality; IEEE floats violate that
-    once (``-0.0 == 0.0`` but the ``send()`` bytes differ).
-    """
-    if isinstance(value, float) and value == 0.0:
-        return 0.0
-    return value
+def hb_hash_udr(value) -> int:
+    """The default ``HB_Hash`` support: deterministic FNV-1a over the
+    value's canonical text.  Satisfies the opclass contract with the
+    natural comparator: equal values produce equal text."""
+    return fnv1a(repr(_canonical(value)).encode("utf-8"))
 
 
-class HybridDataBlade:
+class HybridDataBlade(OrderedKeyBlade):
+    """Two blobs per index -- tree pages and hash directory -- under one
+    set of kit purpose functions."""
+
+    PREFIX = "hb"
     LIBRARY_PATH = "usr/functions/hblade.bld"
     AM_NAME = "hblade_am"
     OPCLASS_NAME = "hblade_ops"
     METADATA_TABLE = "hblade_indexdata"
+    BLOBS = ("tree", "hash")
+    METADATA_COLUMNS = (
+        ("indexname", "LVARCHAR"),
+        ("treehandle", "LVARCHAR"),
+        ("hashhandle", "LVARCHAR"),
+    )
+    META_MAGIC = b"HTB1"
+    SUPPORTS = (
+        ("HB_Compare", 2, "hb_compare_udr", _natural),
+        ("HB_Hash", 1, "hb_hash_udr", hb_hash_udr),
+    )
 
-    def __init__(
-        self,
-        server,
-        buffer_capacity: int = 64,
-        handle_cache: bool = True,
-    ) -> None:
-        self.server = server
-        self.buffer_capacity = buffer_capacity
-        #: Keep tree/directory/pool/BLOB objects of closed indices for
-        #: the next ``hb_open`` (same storage-epoch contract as the
-        #: GR-tree blade); the BLOBs still open and close per statement.
-        self.handle_cache = handle_cache
-        self._handles: Dict[str, Dict[str, Any]] = {}
+    def __init__(self, server) -> None:
+        super().__init__(server)
         #: One guard per index name; guards are process-local state (a
         #: crash drops them with the rest of volatile memory).
         self._guards: Dict[str, PrecisionGuard] = {}
@@ -112,31 +86,6 @@ class HybridDataBlade:
     # ------------------------------------------------------------------
     # Codec and dynamic support resolution (Step 4)
     # ------------------------------------------------------------------
-
-    def _key_type(self, td: IndexDescriptor):
-        return self.server.catalog.types.get(td.column_types[0])
-
-    def _support_name(self, td: IndexDescriptor, needle: str) -> str:
-        opclass = self.server.catalog.opclasses.get(td.opclass_names[0])
-        for name in opclass.supports:
-            if needle in name.lower():
-                return name
-        raise AccessMethodError(
-            f"operator class {opclass.name} declares no {needle} support"
-        )
-
-    def _comparator(self, td: IndexDescriptor):
-        compare_name = self._support_name(td, "compare")
-        key_type = self._key_type(td)
-        type_name = key_type.name
-        routines = self.server.catalog.routines
-
-        def compare(a: bytes, b: bytes) -> int:
-            routine = routines.resolve(compare_name, (type_name, type_name))
-            routines.invocations += 1
-            return routine(key_type.receive(a), key_type.receive(b))
-
-        return compare
 
     def _hasher(self, td: IndexDescriptor):
         """The bucket-placement function over *encoded* keys, routed
@@ -157,259 +106,69 @@ class HybridDataBlade:
         return self._key_type(td).send(_canonical(value))
 
     # ------------------------------------------------------------------
-    # Helpers
+    # Kit hooks and helpers
     # ------------------------------------------------------------------
-
-    def _params(self, td: IndexDescriptor) -> Dict[str, Any]:
-        return td.parameters or {}
-
-    def _capacity(self, td: IndexDescriptor) -> int:
-        return int(self._params(td).get("buffer_capacity", self.buffer_capacity))
-
-    def _hash_path_enabled(self, td: IndexDescriptor) -> bool:
-        value = self._params(td).get("hash_path", True)
-        if isinstance(value, str):
-            return value.strip().lower() in ("true", "on", "yes", "1")
-        return bool(value)
 
     def _guard(self, index_name: str) -> PrecisionGuard:
         return self._guards.setdefault(index_name.lower(), PrecisionGuard())
 
-    def _metadata_table(self):
-        return self.server.catalog.get_table(self.METADATA_TABLE)
-
-    def _metadata_row(self, index_name: str) -> Tuple[int, Dict[str, Any]]:
-        for rowid, row in self._metadata_table().scan():
-            if row["indexname"] == index_name:
-                return rowid, row
-        raise AccessMethodError(
-            f"no {self.METADATA_TABLE} record for index {index_name}"
-        )
-
-    def _obs(self):
-        return getattr(self.server, "obs", None)
-
     def _inc(self, name: str, amount: float = 1) -> None:
-        obs = self._obs()
-        if obs is not None:
-            obs.inc(name, amount)
+        self.server.obs.inc(name, amount)
 
-    def _faults(self):
-        return getattr(self.server, "faults", None)
-
-    def _new_pool(self, blob: BladeBlob, td: IndexDescriptor) -> BufferPool:
-        return BufferPool(
-            blob.page_store(),
-            capacity=self._capacity(td),
-            faults=self._faults(),
+    def _build(self, td: IndexDescriptor, pools, row) -> Dict[str, Any]:
+        tree_pool, hash_pool = pools
+        tree = BPlusTree(
+            BTreeNodeStore(tree_pool),
+            self._comparator(td),
+            **self._meta(td, tree_pool, row),
         )
+        split_threshold = int(self._setting(td, "split_threshold", 16))
+        if row is None:
+            directory = HashDirectory.create(
+                hash_pool,
+                self._hasher(td),
+                initial_buckets=int(self._setting(td, "buckets", 8)),
+                split_threshold=split_threshold,
+            )
+        else:
+            directory = HashDirectory.open(
+                hash_pool, self._hasher(td), split_threshold=split_threshold
+            )
+        return {"tree": tree, "directory": directory}
+
+    def _save(self, td: IndexDescriptor) -> None:
+        super()._save(td)
+        if td.user_data["blobs"][1].is_writable:
+            td.user_data["directory"].save()
+
+    def _forget(self, td: IndexDescriptor) -> None:
+        super()._forget(td)
+        self._guards.pop(td.index_name.lower(), None)
 
     def _attach_obs(self, td: IndexDescriptor) -> None:
-        obs = self._obs()
-        if obs is not None:
-            obs.attach_buffer_pool(
-                f"index.{td.index_name}.tree", td.user_data["tree_pool"]
-            )
-            obs.attach_buffer_pool(
-                f"index.{td.index_name}.hash", td.user_data["hash_pool"]
-            )
+        tree_pool, hash_pool = td.user_data["pools"]
+        obs = self.server.obs
+        obs.attach_buffer_pool(f"index.{td.index_name}.tree", tree_pool)
+        obs.attach_buffer_pool(f"index.{td.index_name}.hash", hash_pool)
+
+    def _scan(self, td: IndexDescriptor, branches) -> "_HScan":
+        return _HScan(self, td, branches)
+
+    def _verify(self, td: IndexDescriptor) -> None:
+        verify_hybrid(td.user_data["tree"], td.user_data["directory"])
 
     # ------------------------------------------------------------------
     # Purpose functions
     # ------------------------------------------------------------------
 
-    def hb_create(self, td: IndexDescriptor) -> int:
-        if len(td.columns) != 1:
-            raise AccessMethodError(f"{self.AM_NAME} indexes exactly one column")
-        # A cached handle under the same name (dropped + recreated
-        # index) must never shadow the fresh BLOBs.
-        self._handles.pop(td.index_name.lower(), None)
-        self._guards.pop(td.index_name.lower(), None)
-        space = self.server.get_sbspace(td.space_name)
-        tree_blob = BladeBlob.create(space)
-        hash_blob = BladeBlob.create(space)
-        self._metadata_table().insert_row(
-            {
-                "indexname": td.index_name,
-                "treehandle": tree_blob.handle.value,
-                "hashhandle": hash_blob.handle.value,
-            }
-        )
-        tree_blob.open(td.session, OpenMode.WRITE)
-        hash_blob.open(td.session, OpenMode.WRITE)
-        tree_pool = self._new_pool(tree_blob, td)
-        hash_pool = self._new_pool(hash_blob, td)
-        tree_meta = tree_pool.allocate()
-        tree = BPlusTree(BTreeNodeStore(tree_pool), self._comparator(td))
-        directory = HashDirectory.create(
-            hash_pool,
-            self._hasher(td),
-            initial_buckets=int(self._params(td).get("buckets", 8)),
-            split_threshold=int(self._params(td).get("split_threshold", 16)),
-        )
-        td.user_data.update(
-            {
-                "tree": tree,
-                "directory": directory,
-                "tree_blob": tree_blob,
-                "hash_blob": hash_blob,
-                "tree_pool": tree_pool,
-                "hash_pool": hash_pool,
-                "tree_meta": tree_meta,
-                "epoch": self.server.storage_epoch,
-            }
-        )
-        self._attach_obs(td)
-        return 0
-
-    def _revive_handle(self, td: IndexDescriptor) -> bool:
-        """Reattach cached structures from a previous close, if storage
-        has not been rewritten underneath them (same contract as the
-        GR-tree blade: live blob objects + unchanged storage epoch)."""
-        key = td.index_name.lower()
-        entry = self._handles.get(key)
-        if entry is None:
-            return False
-        try:
-            same_store = (
-                entry["tree_blob"].page_store() is entry["tree_pool"].store
-                and entry["hash_blob"].page_store() is entry["hash_pool"].store
-            )
-        except Exception:
-            same_store = False  # BLOB dropped or sbspace re-initialised
-        if not same_store or entry["epoch"] != self.server.storage_epoch:
-            del self._handles[key]
-            return False
-        entry["tree_blob"].open(td.session, OpenMode.READ)
-        try:
-            entry["hash_blob"].open(td.session, OpenMode.READ)
-        except BaseException:
-            # Cleanup-then-reraise: BaseException so a SimulatedCrash
-            # still releases the half-opened tree blob, then propagates.
-            entry["tree_blob"].close()
-            raise
-        td.user_data.update(entry)
-        self._attach_obs(td)
-        return True
-
-    def hb_open(self, td: IndexDescriptor) -> int:
-        if "tree" in td.user_data:
-            if td.user_data.get("epoch") == self.server.storage_epoch:
-                return 0
-            # Stale attachment from an interrupted close: storage was
-            # rewritten underneath it (rollback/recovery bumps the
-            # epoch); reusing it would resurrect rolled-back entries.
-            td.user_data.clear()
-        if self.handle_cache and self._revive_handle(td):
-            return 0
-        _, row = self._metadata_row(td.index_name)
-        space = self.server.get_sbspace(td.space_name)
-        tree_blob = BladeBlob(space, LargeObjectHandle(row["treehandle"]))
-        hash_blob = BladeBlob(space, LargeObjectHandle(row["hashhandle"]))
-        tree_blob.open(td.session, OpenMode.READ)
-        try:
-            hash_blob.open(td.session, OpenMode.READ)
-        except BaseException:
-            # Cleanup-then-reraise: BaseException so a SimulatedCrash
-            # still releases the half-opened tree blob, then propagates.
-            tree_blob.close()
-            raise
-        tree_pool = self._new_pool(tree_blob, td)
-        hash_pool = self._new_pool(hash_blob, td)
-        magic, root_id, height, size = _TREE_META.unpack_from(
-            tree_pool.read(0), 0
-        )
-        if magic != _TREE_MAGIC:
-            raise AccessMethodError(
-                f"index {td.index_name} tree storage is corrupt"
-            )
-        tree = BPlusTree(
-            BTreeNodeStore(tree_pool),
-            self._comparator(td),
-            root_id=root_id,
-            height=height,
-            size=size,
-        )
-        directory = HashDirectory.open(
-            hash_pool,
-            self._hasher(td),
-            split_threshold=int(self._params(td).get("split_threshold", 16)),
-        )
-        td.user_data.update(
-            {
-                "tree": tree,
-                "directory": directory,
-                "tree_blob": tree_blob,
-                "hash_blob": hash_blob,
-                "tree_pool": tree_pool,
-                "hash_pool": hash_pool,
-                "tree_meta": 0,
-                "epoch": self.server.storage_epoch,
-            }
-        )
-        self._attach_obs(td)
-        return 0
-
-    def hb_close(self, td: IndexDescriptor) -> int:
-        tree: BPlusTree = td.user_data["tree"]
-        directory: HashDirectory = td.user_data["directory"]
-        tree_blob: BladeBlob = td.user_data["tree_blob"]
-        hash_blob: BladeBlob = td.user_data["hash_blob"]
-        tree_pool: BufferPool = td.user_data["tree_pool"]
-        hash_pool: BufferPool = td.user_data["hash_pool"]
-        if tree_blob._open_mode is OpenMode.WRITE:
-            tree_pool.write(
-                td.user_data["tree_meta"],
-                _TREE_META.pack(
-                    _TREE_MAGIC, tree.root_id, tree.height, tree.size
-                ),
-            )
-        if hash_blob._open_mode is OpenMode.WRITE:
-            directory.save()
-        tree_pool.flush()
-        hash_pool.flush()
-        tree_blob.close()
-        hash_blob.close()
-        if self.handle_cache:
-            self._handles[td.index_name.lower()] = {
-                "tree": tree,
-                "directory": directory,
-                "tree_blob": tree_blob,
-                "hash_blob": hash_blob,
-                "tree_pool": tree_pool,
-                "hash_pool": hash_pool,
-                "tree_meta": td.user_data["tree_meta"],
-                "epoch": self.server.storage_epoch,
-            }
-        td.user_data.clear()
-        return 0
-
-    def hb_drop(self, td: IndexDescriptor) -> int:
-        if "tree" not in td.user_data:
-            self.hb_open(td)
-        td.user_data["tree_blob"].drop()
-        td.user_data["hash_blob"].drop()
-        td.user_data.clear()
-        self._handles.pop(td.index_name.lower(), None)
-        self._guards.pop(td.index_name.lower(), None)
-        rowid, _ = self._metadata_row(td.index_name)
-        self._metadata_table().delete_row(rowid)
-        return 0
-
-    # -- scanning ------------------------------------------------------
-
     def hb_beginscan(self, sd: ScanDescriptor) -> int:
-        if sd.qualification is None:
-            raise AccessMethodError("hb_beginscan needs a qualification")
-        td = sd.index
-        branches = self._to_dnf(sd.qualification)
-        scan = _HScan(self, td, branches)
-        sd.user_data["scan"] = scan
-        obs = self._obs()
-        if obs is not None and obs.enabled:
+        self.am_beginscan(sd)
+        obs = self.server.obs
+        if obs.enabled:
+            scan = sd.user_data["scan"]
             with obs.span(
                 "hblade.scan",
-                index=td.index_name,
+                index=sd.index.index_name,
                 path=scan.path,
                 hash_branches=scan.hash_branches,
                 tree_branches=scan.tree_branches,
@@ -417,25 +176,11 @@ class HybridDataBlade:
                 pass
         return 0
 
-    def hb_rescan(self, sd: ScanDescriptor) -> int:
-        sd.user_data["scan"].reset()
-        return 0
-
-    def hb_getnext(self, sd: ScanDescriptor) -> Optional[RowReference]:
-        return sd.user_data["scan"].next()
-
-    def hb_endscan(self, sd: ScanDescriptor) -> int:
-        sd.user_data.pop("scan", None)
-        return 0
-
-    # -- updates -------------------------------------------------------
-
     def hb_insert(self, td: IndexDescriptor, newrow, newrowid: int) -> int:
-        td.user_data["tree_blob"].ensure_writable()
-        td.user_data["hash_blob"].ensure_writable()
+        self._writable(td)
         key = self._encode(td, newrow[0])
         directory: HashDirectory = td.user_data["directory"]
-        faults = self._faults()
+        faults = self.server.faults
         rehashes_before = directory.rehashes
         with self._guard(td.index_name).publishing(key):
             # Hash side first, tree side second: the window between the
@@ -452,11 +197,10 @@ class HybridDataBlade:
         return 0
 
     def hb_delete(self, td: IndexDescriptor, oldrow, oldrowid: int) -> int:
-        td.user_data["tree_blob"].ensure_writable()
-        td.user_data["hash_blob"].ensure_writable()
+        self._writable(td)
         key = self._encode(td, oldrow[0])
         directory: HashDirectory = td.user_data["directory"]
-        faults = self._faults()
+        faults = self.server.faults
         with self._guard(td.index_name).publishing(key):
             if faults is not None:
                 faults.hit("hblade.hash_write")
@@ -472,12 +216,7 @@ class HybridDataBlade:
         self._inc("hblade.deletes")
         return 0
 
-    def hb_update(self, td, oldrow, oldrowid: int, newrow, newrowid: int) -> int:
-        self.hb_delete(td, oldrow, oldrowid)
-        self.hb_insert(td, newrow, newrowid)
-        return 0
-
-    # -- cost, stats, integrity ----------------------------------------
+    # -- cost, stats ---------------------------------------------------
 
     def hb_scancost(self, sd: ScanDescriptor) -> float:
         """The optimizer hook: equality branches are priced as hash
@@ -490,9 +229,9 @@ class HybridDataBlade:
             entry = self._handles.get(td.index_name.lower())
             tree = entry["tree"] if entry else None
         height = tree.height if tree is not None else 2
-        hash_on = self._hash_path_enabled(td)
+        hash_on = self._flag(td, "hash_path", True)
         cost = 0.0
-        for branch in self._to_dnf(sd.qualification):
+        for branch in self._branches(td, sd.qualification):
             if hash_on and self._is_point(branch):
                 cost += _POINT_COST
             else:
@@ -511,124 +250,22 @@ class HybridDataBlade:
         )
 
     def hb_stats(self, td: IndexDescriptor) -> Dict[str, float]:
-        tree: BPlusTree = td.user_data["tree"]
-        directory: HashDirectory = td.user_data["directory"]
-        stats: Dict[str, float] = dict(tree.stats())
-        for name, value in directory.stats().items():
+        stats: Dict[str, float] = dict(self._tree(td).stats())
+        for name, value in td.user_data["directory"].stats().items():
             stats[f"hash_{name}"] = value
-        guard = self._guard(td.index_name)
-        stats["guard_fallbacks"] = guard.fallbacks
+        stats["guard_fallbacks"] = self._guard(td.index_name).fallbacks
         return stats
 
-    def hb_check(self, td: IndexDescriptor) -> int:
-        try:
-            verify_hybrid(td.user_data["tree"], td.user_data["directory"])
-        except AssertionError as exc:
-            raise AccessMethodError(
-                f"index {td.index_name} corrupt: {exc}"
-            ) from exc
-        return 0
 
-    # -- qualification handling ----------------------------------------
-
-    def _to_dnf(self, qual: Qualification):
-        if isinstance(qual, SimpleQualification):
-            name = qual.function.lower()
-            if name.startswith("hb_"):
-                name = name[3:]
-            if name not in _RANGES:
-                raise AccessMethodError(
-                    f"{qual.function} is not a hybrid-AM strategy function"
-                )
-            if qual.constant_first:
-                name = _COMMUTED[name]
-            return [[(name, qual.constant)]]
-        assert isinstance(qual, CompoundQualification)
-        child_dnfs = [self._to_dnf(c) for c in qual.children]
-        if qual.operator is BooleanOperator.OR:
-            return [branch for dnf in child_dnfs for branch in dnf]
-        result = [[]]
-        for dnf in child_dnfs:
-            result = [prefix + branch for prefix in result for branch in dnf]
-        return result
-
-    # ------------------------------------------------------------------
-
-    def exports(self) -> Dict[str, Any]:
-        purpose = {
-            "hb_create": self.hb_create,
-            "hb_drop": self.hb_drop,
-            "hb_open": self.hb_open,
-            "hb_close": self.hb_close,
-            "hb_beginscan": self.hb_beginscan,
-            "hb_endscan": self.hb_endscan,
-            "hb_rescan": self.hb_rescan,
-            "hb_getnext": self.hb_getnext,
-            "hb_insert": self.hb_insert,
-            "hb_delete": self.hb_delete,
-            "hb_update": self.hb_update,
-            "hb_scancost": self.hb_scancost,
-            "hb_stats": self.hb_stats,
-            "hb_check": self.hb_check,
-        }
-        strategies = {
-            "hb_equal_udr": lambda a, b: _natural(a, b) == 0,
-            "hb_gt_udr": lambda a, b: _natural(a, b) > 0,
-            "hb_ge_udr": lambda a, b: _natural(a, b) >= 0,
-            "hb_lt_udr": lambda a, b: _natural(a, b) < 0,
-            "hb_le_udr": lambda a, b: _natural(a, b) <= 0,
-            "hb_compare_udr": _natural,
-            "hb_hash_udr": hb_hash_udr,
-        }
-        return {**purpose, **strategies}
-
-
-def _natural(a, b) -> int:
-    return (a > b) - (a < b)
-
-
-def hb_hash_udr(value) -> int:
-    """The default ``HB_Hash`` support: deterministic FNV-1a over the
-    value's canonical text.  Satisfies the opclass contract with the
-    natural comparator: equal values produce equal text."""
-    return fnv1a(repr(_canonical(value)).encode("utf-8"))
-
-
-class _HScan:
+class _HScan(KeyScan):
     """DNF scan routing each branch to its path, with deduplication."""
 
     def __init__(self, blade: HybridDataBlade, td: IndexDescriptor, branches):
         self.blade = blade
-        self.td = td
-        self.tree: BPlusTree = td.user_data["tree"]
         self.directory: HashDirectory = td.user_data["directory"]
         self.guard = blade._guard(td.index_name)
-        self.key_type = blade._key_type(td)
-        self.hash_enabled = blade._hash_path_enabled(td)
-        self.branches = branches
-        self.hash_branches = 0
-        self.tree_branches = 0
-        self.path = "tree"
-        self.reset()
-
-    def _bounds(self, branch):
-        """Intersect the branch's range predicates into one interval."""
-        low = high = None
-        low_inc = high_inc = True
-        for name, constant in branch:
-            key = self.key_type.send(_canonical(constant))
-            t_low, t_high, t_low_inc, t_high_inc = _RANGES[name]
-            if t_low == "K":
-                if low is None or self.tree.compare(key, low) > 0 or (
-                    self.tree.compare(key, low) == 0 and not t_low_inc
-                ):
-                    low, low_inc = key, t_low_inc
-            if t_high == "K":
-                if high is None or self.tree.compare(key, high) < 0 or (
-                    self.tree.compare(key, high) == 0 and not t_high_inc
-                ):
-                    high, high_inc = key, t_high_inc
-        return low, high, low_inc, high_inc
+        self.hash_enabled = blade._flag(td, "hash_path", True)
+        super().__init__(td.user_data["tree"], blade._key_type(td), branches)
 
     def _probe_hash(self, key: bytes) -> Tuple[List[Tuple[int, int]], bool]:
         """The guarded point lookup: probe, then validate against the
@@ -647,58 +284,43 @@ class _HScan:
         self.blade._inc("hblade.tree_path")
         return self.tree.search_equal(key), False
 
-    def reset(self) -> None:
-        self._results: List[Tuple[int, int, bytes]] = []
-        self._pos = 0
-        self.hash_branches = 0
-        self.tree_branches = 0
-        seen = set()
-        for branch in self.branches:
-            low, high, low_inc, high_inc = self._bounds(branch)
-            is_point = (
-                low is not None
-                and high is not None
-                and low_inc
-                and high_inc
-                and low == high
-            )
-            if is_point and self.hash_enabled:
-                self.blade._inc("hblade.point_lookups")
-                matches, used_hash = self._probe_hash(low)
-                if used_hash:
-                    self.hash_branches += 1
-                else:
-                    self.tree_branches += 1
-                hits = [(rowid, fragid, low) for rowid, fragid in matches]
+    def probe(self, branch) -> List[Tuple[int, int, bytes]]:
+        low, high, low_inc, high_inc = self.bounds(branch)
+        is_point = (
+            low is not None
+            and high is not None
+            and low_inc
+            and high_inc
+            and low == high
+        )
+        if is_point and self.hash_enabled:
+            self.blade._inc("hblade.point_lookups")
+            matches, used_hash = self._probe_hash(low)
+            if used_hash:
+                self.hash_branches += 1
             else:
                 self.tree_branches += 1
-                if is_point:
-                    self.blade._inc("hblade.point_lookups")
-                else:
-                    self.blade._inc("hblade.range_scans")
-                self.blade._inc("hblade.tree_path")
-                hits = [
-                    (rowid, fragid, key)
-                    for key, rowid, fragid in self.tree.search_range(
-                        low, high, low_inc, high_inc
-                    )
-                ]
-            for rowid, fragid, key in hits:
-                if (rowid, fragid) not in seen:
-                    seen.add((rowid, fragid))
-                    self._results.append((rowid, fragid, key))
+            return [(rowid, fragid, low) for rowid, fragid in matches]
+        self.tree_branches += 1
+        if is_point:
+            self.blade._inc("hblade.point_lookups")
+        else:
+            self.blade._inc("hblade.range_scans")
+        self.blade._inc("hblade.tree_path")
+        return [
+            (rowid, fragid, key)
+            for key, rowid, fragid in self.tree.search_range(
+                low, high, low_inc, high_inc
+            )
+        ]
+
+    def reset(self) -> None:
+        self.hash_branches = 0
+        self.tree_branches = 0
+        super().reset()
         if self.hash_branches and self.tree_branches:
             self.path = "mixed"
         elif self.hash_branches:
             self.path = "hash"
         else:
             self.path = "tree"
-
-    def next(self) -> Optional[RowReference]:
-        if self._pos >= len(self._results):
-            return None
-        rowid, fragid, key = self._results[self._pos]
-        self._pos += 1
-        return RowReference(
-            rowid=rowid, fragid=fragid, row=(self.key_type.receive(key),)
-        )

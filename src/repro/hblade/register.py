@@ -1,9 +1,11 @@
 """Registration of the hybrid blade -- the six-step recipe, third time.
 
-Same shape as ``register_btree_blade``: shared-library symbols, purpose
-functions, strategy and support UDRs per indexable type, the secondary
-access method, its default operator class, and the blade metadata table
--- all through the SQL surface under ``server.provisioning()``.
+Same shape as ``register_btree_blade``, through the same B+-tree-family
+registration (:meth:`~repro.bblade.blade.OrderedKeyBlade.install_family`):
+shared-library symbols, purpose functions, strategy and support UDRs
+per indexable type, the secondary access method, its default operator
+class, and the blade metadata table -- all through the SQL surface under
+``server.provisioning()``.
 
 The one new ingredient is the second support function: ``HB_Hash`` joins
 ``HB_Compare`` in the opclass SUPPORT list, and the blade resolves both
@@ -14,89 +16,11 @@ comparator-equal values hash equal.
 
 from __future__ import annotations
 
-from typing import List
-
 from repro.hblade.blade import HybridDataBlade
 
-#: Types with binary send/receive, natural comparison, and stable repr.
-INDEXABLE_TYPES = ("INTEGER", "FLOAT", "DATE", "LVARCHAR")
 
-
-def register_hybrid_blade(
-    server,
-    buffer_capacity: int = 64,
-    handle_cache: bool = True,
-) -> HybridDataBlade:
+def register_hybrid_blade(server) -> HybridDataBlade:
     """Install the hybrid hash + B+-tree DataBlade."""
-    blade = HybridDataBlade(
-        server,
-        buffer_capacity=buffer_capacity,
-        handle_cache=handle_cache,
-    )
-    server.library.register_module(HybridDataBlade.LIBRARY_PATH, blade.exports())
-
-    statements: List[str] = []
-    for symbol in (
-        "hb_create", "hb_drop", "hb_open", "hb_close", "hb_beginscan",
-        "hb_endscan", "hb_rescan", "hb_getnext", "hb_insert", "hb_delete",
-        "hb_update", "hb_scancost", "hb_stats", "hb_check",
-    ):
-        statements.append(
-            f"CREATE FUNCTION {symbol}(pointer) RETURNING int "
-            f"EXTERNAL NAME '{blade.LIBRARY_PATH}({symbol})' LANGUAGE c"
-        )
-    for type_name in INDEXABLE_TYPES:
-        for name, symbol in (
-            ("HB_Equal", "hb_equal_udr"),
-            ("HB_GreaterThan", "hb_gt_udr"),
-            ("HB_GreaterThanOrEqual", "hb_ge_udr"),
-            ("HB_LessThan", "hb_lt_udr"),
-            ("HB_LessThanOrEqual", "hb_le_udr"),
-        ):
-            statements.append(
-                f"CREATE FUNCTION {name}({type_name}, {type_name}) "
-                f"RETURNING boolean "
-                f"EXTERNAL NAME '{blade.LIBRARY_PATH}({symbol})' LANGUAGE c"
-            )
-        statements.append(
-            f"CREATE FUNCTION HB_Compare({type_name}, {type_name}) "
-            f"RETURNING int "
-            f"EXTERNAL NAME '{blade.LIBRARY_PATH}(hb_compare_udr)' LANGUAGE c"
-        )
-        statements.append(
-            f"CREATE FUNCTION HB_Hash({type_name}) "
-            f"RETURNING int "
-            f"EXTERNAL NAME '{blade.LIBRARY_PATH}(hb_hash_udr)' LANGUAGE c"
-        )
-    slots = ", ".join(
-        f"am_{slot} = hb_{slot}"
-        for slot in (
-            "create", "drop", "open", "close", "beginscan", "endscan",
-            "rescan", "getnext", "insert", "delete", "update", "scancost",
-            "stats", "check",
-        )
-    )
-    statements.append(
-        f'CREATE SECONDARY ACCESS_METHOD {blade.AM_NAME} ({slots}, '
-        f'am_sptype = "S")'
-    )
-    statements.append(
-        f"CREATE DEFAULT OPCLASS {blade.OPCLASS_NAME} FOR {blade.AM_NAME} "
-        f"STRATEGIES(HB_Equal, HB_GreaterThan, HB_GreaterThanOrEqual, "
-        f"HB_LessThan, HB_LessThanOrEqual) "
-        f"SUPPORT(HB_Compare, HB_Hash)"
-    )
-    statements.append(
-        f"CREATE TABLE {blade.METADATA_TABLE} "
-        f"(indexname LVARCHAR, treehandle LVARCHAR, hashhandle LVARCHAR)"
-    )
-    with server.provisioning():
-        server.run_script(";\n".join(statements))
-
-    routines = server.catalog.routines
-    routines.set_commutator("HB_GreaterThan", "HB_LessThan")
-    routines.set_commutator("HB_LessThan", "HB_GreaterThan")
-    routines.set_commutator("HB_GreaterThanOrEqual", "HB_LessThanOrEqual")
-    routines.set_commutator("HB_LessThanOrEqual", "HB_GreaterThanOrEqual")
-    routines.set_commutator("HB_Equal", "HB_Equal")
+    blade = HybridDataBlade(server)
+    blade.install_family()
     return blade
