@@ -80,8 +80,9 @@ def main() -> None:
     space._reset_for_recovery()
     print("   crash! volatile sbspace state lost "
           f"({space.object_count} objects remain)")
-    replayed = server.wal.recover(space)
-    print(f"   recovery replayed {replayed} committed log records")
+    folded = server.wal.recover(space)
+    print(f"   recovery folded {folded} committed log records into the "
+          "checkpoint image and rebuilt the space from it")
     rows = server.execute(query)
     print("   index answers again:", sorted(r["name"] for r in rows))
     print("  ", server.execute("CHECK INDEX gi"))

@@ -397,9 +397,9 @@ class AccessMethodKit:
         """Export the purpose functions and *udrs* -- ``(name, argument
         types, return type, symbol, callable)`` -- from the shared
         library, run the generated registration script, and record the
-        commutator hints.  Registration DDL is node-local (replicas
-        install their own blades), so it is never logged for
-        replication."""
+        commutator hints on the overloads in *udrs*.  Registration DDL
+        is node-local (replicas install their own blades), so it is
+        never logged for replication."""
         udrs = list(udrs)
         exports = self.exports()
         exports.update((symbol, fn) for _, _, _, symbol, fn in udrs)
@@ -416,5 +416,15 @@ class AccessMethodKit:
         )
         with self.server.provisioning():
             self.server.run_script(script)
-        for name, commutator in (commutators or {}).items():
-            self.server.catalog.routines.set_commutator(name, commutator)
+        commutators = dict(commutators or {})
+        for name, arg_types, *_ in udrs:
+            if name in commutators:
+                self.server.catalog.routines.set_commutator(
+                    name, commutators[name], arg_types
+                )
+        unknown = set(commutators) - {udr[0] for udr in udrs}
+        if unknown:
+            raise ValueError(
+                f"commutator hints for routines {self.AM_NAME} does not "
+                f"register: {sorted(unknown)}"
+            )

@@ -85,6 +85,12 @@ ACTIONS = ("raise", "crash", "torn", "corrupt", "drop", "dup", "reorder")
 CATALOG: Mapping[str, str] = MappingProxyType({
     "wal.append": "storage: before any record is appended to the log",
     "wal.fsync": "storage: at commit, before the COMMIT record is durable",
+    "wal.checkpoint.fold": "storage: checkpoint start, before the new "
+    "sbspace images are built",
+    "wal.checkpoint.install": "storage: checkpoint, before the new images "
+    "replace the old ones",
+    "wal.checkpoint.release": "storage: checkpoint, before folded records "
+    "drop their page images",
     "sbspace.page_read": "storage: SmartBlob.read_page",
     "sbspace.page_write": "storage: SmartBlob.write_page (torn/corrupt capable)",
     "sbspace.open": "storage: Sbspace.open (lock acquisition + descriptor)",

@@ -217,5 +217,11 @@ def register_rtree_blade(server) -> RTreeDataBlade:
             ("Overlap", "Equal", "Contains", "Within"),
             ("RT_Union", "RT_Size", "RT_Inter"),
         )],
+        commutators={
+            "Overlap": "Overlap",
+            "Equal": "Equal",
+            "Contains": "Within",
+            "Within": "Contains",
+        },
     )
     return blade

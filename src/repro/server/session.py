@@ -89,7 +89,12 @@ class Session:
         txn = self._require_transaction()
         for action in txn.on_commit_actions:
             action()
-        self.server.wal.log_commit(txn.txn_id)
+        # Checkpoint before the COMMIT record: a crash while folding is
+        # a crash before this transaction committed.
+        wal = self.server.wal
+        if wal.checkpoint_due():
+            wal.checkpoint()
+        wal.log_commit(txn.txn_id)
         self._finish(txn, committed=True)
 
     def rollback(self) -> None:

@@ -153,19 +153,31 @@ class RoutineRegistry:
 
     # ------------------------------------------------------------------
 
-    def set_negator(self, name: str, negator: str) -> None:
-        for routine in self._require(name):
-            routine.negator = negator
+    def set_negator(
+        self, name: str, negator: str, arg_types: Sequence[str]
+    ) -> None:
+        """Record *negator* on the overload of *name* with *arg_types*."""
+        self._require(name, arg_types).negator = negator
 
-    def set_commutator(self, name: str, commutator: str) -> None:
-        for routine in self._require(name):
-            routine.commutator = commutator
+    def set_commutator(
+        self, name: str, commutator: str, arg_types: Sequence[str]
+    ) -> None:
+        """Record *commutator* on the overload of *name* with *arg_types*.
 
-    def _require(self, name: str) -> List[Routine]:
+        Hints belong to a signature: ``Contains(Box, Box)`` and
+        ``Contains(GRT_TimeExtent_t, GRT_TimeExtent_t)`` come from
+        different blades and commute with different routines."""
+        self._require(name, arg_types).commutator = commutator
+
+    def _require(self, name: str, arg_types: Sequence[str]) -> Routine:
         overloads = self._routines.get(name.lower())
         if not overloads:
             raise UdrError(f"no routine named {name}")
-        return overloads
+        wanted = tuple(t.upper() for t in arg_types)
+        for routine in overloads:
+            if tuple(t.upper() for t in routine.arg_types) == wanted:
+                return routine
+        raise UdrError(f"no overload of {name} accepts ({', '.join(wanted)})")
 
     def names(self) -> List[str]:
         return sorted(self._routines)

@@ -190,6 +190,8 @@ class Sbspace:
         self.page_size = page_size
         self.locks = lock_manager
         self.wal = wal
+        if wal is not None:
+            wal.register_space(name, page_size)
         #: Optional :class:`repro.faults.FaultRegistry`.
         self.faults = faults
         self._objects: Dict[str, SmartBlob] = {}
@@ -212,16 +214,20 @@ class Sbspace:
     def _log_page_write(self, handle, page_id, before, after) -> None:
         if self.wal is not None and self._current_txn is not None:
             self.wal.log_page_write(
-                self._current_txn, handle.value, page_id, before, after
+                self._current_txn, handle.value, page_id, before, after, self.name
             )
 
     def _log_page_alloc(self, handle, page_id) -> None:
         if self.wal is not None and self._current_txn is not None:
-            self.wal.log_page_alloc(self._current_txn, handle.value, page_id)
+            self.wal.log_page_alloc(
+                self._current_txn, handle.value, page_id, self.name
+            )
 
     def _log_page_free(self, handle, page_id, before) -> None:
         if self.wal is not None and self._current_txn is not None:
-            self.wal.log_page_free(self._current_txn, handle.value, page_id, before)
+            self.wal.log_page_free(
+                self._current_txn, handle.value, page_id, before, self.name
+            )
 
     # ------------------------------------------------------------------
     # Large-object lifecycle
@@ -232,14 +238,14 @@ class Sbspace:
         blob = SmartBlob(self, handle)
         self._objects[handle.value] = blob
         if self.wal is not None and self._current_txn is not None:
-            self.wal.log_create_lo(self._current_txn, handle.value)
+            self.wal.log_create_lo(self._current_txn, handle.value, self.name)
         return blob
 
     def drop(self, handle: LargeObjectHandle) -> None:
         if handle.value not in self._objects:
             raise SbspaceError(f"no large object {handle}")
         if self.wal is not None and self._current_txn is not None:
-            self.wal.log_drop_lo(self._current_txn, handle.value)
+            self.wal.log_drop_lo(self._current_txn, handle.value, self.name)
         del self._objects[handle.value]
 
     def get(self, handle: LargeObjectHandle) -> SmartBlob:
@@ -324,10 +330,11 @@ class Sbspace:
     # ------------------------------------------------------------------
 
     def rollback(self, txn_id: int) -> None:
-        """Undo the transaction's effects from before-images, in reverse."""
+        """Undo the transaction's effects in this space from
+        before-images, in reverse: its undo chain, not the whole log."""
         if self.wal is None:
             raise SbspaceError("rollback requires a write-ahead log")
-        for record in reversed(self.wal.records_for(txn_id)):
+        for record in reversed(self.wal.undo_chain(txn_id, self.name)):
             if record.kind is RecordKind.PAGE_WRITE:
                 blob = self._objects.get(record.lo_handle)
                 if blob is not None and record.page_id in blob._pages:
@@ -355,6 +362,15 @@ class Sbspace:
     def _reset_for_recovery(self) -> None:
         self._objects.clear()
 
+    def _load_image(self, image: "Sbspace") -> None:
+        """Copy *image*'s large objects in, each with its own page table
+        (recovery's starting point, and a checkpoint's new image)."""
+        for value, source in image._objects.items():
+            blob = SmartBlob(self, source.handle)
+            blob._pages = dict(source._pages)
+            blob._next_id = source._next_id
+            self._objects[value] = blob
+
     def _finish_recovery(self) -> None:
         """Rebuild derived state the log does not record directly.
 
@@ -378,7 +394,7 @@ class Sbspace:
         self._sequence = itertools.count(max_seq + 1)
 
     def _redo(self, record) -> None:
-        """Apply one committed log record during recovery."""
+        """Apply one committed log record (recovery and checkpoints)."""
         if record.kind is RecordKind.CREATE_LO:
             handle = LargeObjectHandle(record.lo_handle)
             self._objects[record.lo_handle] = SmartBlob(self, handle)

@@ -8,6 +8,15 @@ rolled back from before-images at runtime, and :meth:`WriteAheadLog.recover`
 reconstructs the committed state after a simulated crash (redo from the
 log onto an emptied space).
 
+Neither rollback nor recovery pays for the log's history.  Each active
+transaction keeps a chain of its own sbspace records per space (the
+list form of ARIES' ``prev_lsn`` chain, Mohan et al., TODS 1992), so
+rollback walks only what the transaction wrote.  A *checkpoint* folds
+committed records below the oldest active transaction into a shadow
+image per sbspace, redoing them with the same ``_redo`` recovery uses,
+and drops their page images from the log; recovery folds the tail the
+images lack and copies the space from its image.
+
 For replication (``repro.repl``) the log additionally carries *logical*
 records: DDL statement text and row-level insert/delete/update images.
 Logical records are only appended while :attr:`WriteAheadLog.ship_rows`
@@ -21,12 +30,21 @@ from __future__ import annotations
 import base64
 import enum
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional
+
+if TYPE_CHECKING:
+    from repro.storage.sbspace import Sbspace
 
 #: Reserved transaction id for auto-committed records (DDL): statement
 #: text is logged only after the statement succeeded, so these records
 #: are committed by construction.  Real transaction ids start at 1.
 DDL_TXN = 0
+
+#: A commit checkpoints once this many records below the oldest active
+#: transaction wait to be folded.  It bounds the log's retained page
+#: images and the tail recovery redoes; each fold costs a copy of the
+#: page tables of the sbspaces it touches.
+CHECKPOINT_RECORDS = 2048
 
 
 class RecordKind(enum.Enum):
@@ -73,6 +91,10 @@ class LogRecord:
     #: Column values in wire-text form (each via ``data_type.export_text``).
     row: Optional[dict] = None
     sql: Optional[str] = None
+    #: Sbspace a physical record belongs to (``None`` on the other
+    #: kinds).  Handles are numbered per space, so undo and redo must
+    #: not cross spaces.
+    space: Optional[str] = None
 
     # -- wire form ---------------------------------------------------------
     #
@@ -103,6 +125,8 @@ class LogRecord:
             payload["row"] = dict(self.row)
         if self.sql is not None:
             payload["sql"] = self.sql
+        if self.space is not None:
+            payload["space"] = self.space
         return payload
 
     @classmethod
@@ -127,6 +151,14 @@ class LogRecord:
             rowid=payload.get("rowid"),
             row=payload.get("row"),
             sql=payload.get("sql"),
+            space=payload.get("space"),
+        )
+
+    def without_images(self) -> "LogRecord":
+        """This record with its page images dropped (a folded record)."""
+        return LogRecord(
+            self.lsn, self.txn_id, self.kind, self.lo_handle, self.page_id,
+            space=self.space,
         )
 
 
@@ -135,10 +167,26 @@ class WriteAheadLog:
 
     def __init__(self, faults=None) -> None:
         self._records: List[LogRecord] = []
-        self._active: set[int] = set()
+        #: Active transaction id -> LSN of its BEGIN record.
+        self._active: Dict[int, int] = {}
         self._committed: set[int] = set()
         self._aborted: set[int] = set()
         self._kind_counts: dict[str, int] = {}
+        #: Undo chains: active transaction id -> sbspace name -> that
+        #: transaction's records in the space, in LSN order.
+        self._chains: Dict[int, Dict[str, List[LogRecord]]] = {}
+        #: Page size of every sbspace logging here (a new image needs it).
+        self._page_sizes: Dict[str, int] = {}
+        #: The checkpoint: committed sbspace records below
+        #: ``_folded_lsn`` are folded into one detached
+        #: :class:`~repro.storage.sbspace.Sbspace` per space name.
+        self._images: Dict[str, Sbspace] = {}
+        self._folded_lsn = 0
+        #: Records below this LSN have dropped their page images.  It
+        #: trails ``_folded_lsn`` only while a release is cut short; the
+        #: next checkpoint finishes it.
+        self._released_lsn = 0
+        self._checkpoints = 0
         #: Optional :class:`repro.faults.FaultRegistry`; ``None`` keeps
         #: the append path free of any fault-injection cost.
         self.faults = faults
@@ -160,6 +208,10 @@ class WriteAheadLog:
         if listener in self._listeners:
             self._listeners.remove(listener)
 
+    def register_space(self, name: str, page_size: int) -> None:
+        """Record that sbspace *name* logs here (checkpoints image it)."""
+        self._page_sizes[name] = page_size
+
     def _append(self, txn_id: int, kind: RecordKind, **fields) -> LogRecord:
         if self.faults is not None:
             self.faults.hit("wal.append")
@@ -171,12 +223,20 @@ class WriteAheadLog:
             listener(record)
         return record
 
+    def _append_space(
+        self, txn_id: int, kind: RecordKind, space: str, **fields
+    ) -> None:
+        """Append a physical record and link it into its undo chain."""
+        self._require_active(txn_id)
+        record = self._append(txn_id, kind, space=space, **fields)
+        self._chains.setdefault(txn_id, {}).setdefault(space, []).append(record)
+
     def log_begin(self, txn_id: int) -> None:
         if txn_id in self._active:
             raise ValueError(f"transaction {txn_id} already active")
         if txn_id in self._committed or txn_id in self._aborted:
             raise ValueError(f"transaction id {txn_id} was already used")
-        self._active.add(txn_id)
+        self._active[txn_id] = len(self._records)
         self._append(txn_id, RecordKind.BEGIN)
 
     def log_commit(self, txn_id: int) -> None:
@@ -186,47 +246,63 @@ class WriteAheadLog:
         # the log, so recovery discards it -- the commit never happened.
         if self.faults is not None:
             self.faults.hit("wal.fsync")
-        self._active.discard(txn_id)
+        self._end(txn_id)
         self._committed.add(txn_id)
         self._append(txn_id, RecordKind.COMMIT)
 
     def log_abort(self, txn_id: int) -> None:
         self._require_active(txn_id)
-        self._active.discard(txn_id)
+        self._end(txn_id)
         self._aborted.add(txn_id)
         self._append(txn_id, RecordKind.ABORT)
 
-    def log_create_lo(self, txn_id: int, lo_handle: str) -> None:
-        self._require_active(txn_id)
-        self._append(txn_id, RecordKind.CREATE_LO, lo_handle=lo_handle)
+    def _end(self, txn_id: int) -> None:
+        del self._active[txn_id]
+        self._chains.pop(txn_id, None)
 
-    def log_drop_lo(self, txn_id: int, lo_handle: str) -> None:
-        self._require_active(txn_id)
-        self._append(txn_id, RecordKind.DROP_LO, lo_handle=lo_handle)
+    def log_create_lo(self, txn_id: int, lo_handle: str, space: str) -> None:
+        self._append_space(txn_id, RecordKind.CREATE_LO, space, lo_handle=lo_handle)
 
-    def log_page_alloc(self, txn_id: int, lo_handle: str, page_id: int) -> None:
-        self._require_active(txn_id)
-        self._append(txn_id, RecordKind.PAGE_ALLOC, lo_handle=lo_handle, page_id=page_id)
+    def log_drop_lo(self, txn_id: int, lo_handle: str, space: str) -> None:
+        self._append_space(txn_id, RecordKind.DROP_LO, space, lo_handle=lo_handle)
+
+    def log_page_alloc(
+        self, txn_id: int, lo_handle: str, page_id: int, space: str
+    ) -> None:
+        self._append_space(
+            txn_id, RecordKind.PAGE_ALLOC, space, lo_handle=lo_handle, page_id=page_id
+        )
 
     def log_page_free(
-        self, txn_id: int, lo_handle: str, page_id: int, before: bytes
+        self,
+        txn_id: int,
+        lo_handle: str,
+        page_id: int,
+        before: bytes,
+        space: str,
     ) -> None:
-        self._require_active(txn_id)
-        self._append(
+        self._append_space(
             txn_id,
             RecordKind.PAGE_FREE,
+            space,
             lo_handle=lo_handle,
             page_id=page_id,
             before=before,
         )
 
     def log_page_write(
-        self, txn_id: int, lo_handle: str, page_id: int, before: bytes, after: bytes
+        self,
+        txn_id: int,
+        lo_handle: str,
+        page_id: int,
+        before: bytes,
+        after: bytes,
+        space: str,
     ) -> None:
-        self._require_active(txn_id)
-        self._append(
+        self._append_space(
             txn_id,
             RecordKind.PAGE_WRITE,
+            space,
             lo_handle=lo_handle,
             page_id=page_id,
             before=before,
@@ -277,7 +353,14 @@ class WriteAheadLog:
         return self._records[lsn:]
 
     def records_for(self, txn_id: int) -> List[LogRecord]:
+        """Every record of *txn_id*: a scan of the whole log (rollback
+        walks :meth:`undo_chain` instead)."""
         return [r for r in self._records if r.txn_id == txn_id]
+
+    def undo_chain(self, txn_id: int, space: str) -> List[LogRecord]:
+        """The active transaction's records in sbspace *space*, oldest
+        first: what rolling it back there has to undo."""
+        return list(self._chains.get(txn_id, {}).get(space, ()))
 
     def is_committed(self, txn_id: int) -> bool:
         return txn_id == DDL_TXN or txn_id in self._committed
@@ -313,30 +396,112 @@ class WriteAheadLog:
             stats[f"kind.{kind}"] = count
         return stats
 
+    def checkpoint_stats(self) -> dict:
+        """Checkpoints taken, the LSN they folded up to, and the
+        page-image bytes the log still holds.  Kept out of
+        :meth:`stats`: obs snapshots those at every span boundary."""
+        return {
+            "checkpoints": self._checkpoints,
+            "folded_lsn": self._folded_lsn,
+            "retained_bytes": sum(
+                len(r.before or b"") + len(r.after or b"")
+                for r in self._records[self._released_lsn:]
+            ),
+        }
+
+    # ------------------------------------------------------------------
+    # Checkpoint
+    # ------------------------------------------------------------------
+
+    def _horizon(self) -> int:
+        """The LSN below which every transaction has ended: the oldest
+        active transaction's BEGIN, or the end of the log."""
+        return min(self._active.values(), default=len(self._records))
+
+    def checkpoint_due(self) -> bool:
+        return self._horizon() - self._folded_lsn >= CHECKPOINT_RECORDS
+
+    def checkpoint(self) -> int:
+        """Fold committed sbspace records below the horizon into the
+        per-space images; returns how many were redone into them.
+
+        The new images are built aside, so a crash before they are
+        installed leaves the old checkpoint whole.  Once installed, the
+        folded records keep their LSN, kind and addresses but drop
+        their page images: recovery never reads them again.  A release
+        cut short is finished here, even when there is nothing to fold.
+        """
+        from repro.storage.sbspace import Sbspace
+
+        start, horizon = self._folded_lsn, self._horizon()
+        folded = 0
+        if horizon > start:
+            if self.faults is not None:
+                self.faults.hit("wal.checkpoint.fold")
+            images = dict(self._images)
+            forked = set()
+            for lsn in range(start, horizon):
+                record = self._records[lsn]
+                if (
+                    record.kind not in SPACE_KINDS
+                    or record.txn_id not in self._committed
+                ):
+                    continue
+                name = record.space
+                if name not in forked:
+                    image = Sbspace(name, page_size=self._page_sizes[name])
+                    if name in images:
+                        image._load_image(images[name])
+                    images[name] = image
+                    forked.add(name)
+                images[name]._redo(record)
+                folded += 1
+            if self.faults is not None:
+                self.faults.hit("wal.checkpoint.install")
+            self._images, self._folded_lsn = images, horizon
+            self._checkpoints += 1
+        self._release()
+        return folded
+
+    def _release(self) -> None:
+        """Drop the page images of every folded record that still has
+        them, including those of an earlier, interrupted release."""
+        start, end = self._released_lsn, self._folded_lsn
+        if end <= start:
+            return
+        if self.faults is not None:
+            self.faults.hit("wal.checkpoint.release")
+        records = self._records
+        for lsn in range(start, end):
+            record = records[lsn]
+            if record.before is not None or record.after is not None:
+                records[lsn] = record.without_images()
+        self._released_lsn = end
+
     # ------------------------------------------------------------------
     # Recovery
     # ------------------------------------------------------------------
 
     def recover(self, space) -> int:
         """Rebuild *space* (an :class:`~repro.storage.sbspace.Sbspace`)
-        to the committed state by redoing the log from the beginning.
+        to the committed state after a crash.
 
         Transactions that were still active at the crash are treated as
-        aborted (their records are skipped), and logical records are --
-        they carry no sbspace state.  Returns the number of records
-        replayed.
+        aborted, so their records are never redone.  A checkpoint then
+        folds every committed record the images lack -- the redo a
+        restart from LSN 0 would do, done once, so the next recovery
+        starts where this one ended -- and the space is copied from its
+        image, each blob with its own page table.  Logical records
+        carry no sbspace state and are skipped.  Returns the number of
+        records folded.
         """
-        space._reset_for_recovery()
-        replayed = 0
-        for record in self._records:
-            if record.kind not in SPACE_KINDS:
-                continue
-            if record.txn_id not in self._committed:
-                continue
-            space._redo(record)
-            replayed += 1
-        # Whatever was active at crash time is now aborted.
-        self._aborted |= self._active
+        self._aborted.update(self._active)
         self._active.clear()
+        self._chains.clear()
+        folded = self.checkpoint()
+        space._reset_for_recovery()
+        image = self._images.get(space.name)
+        if image is not None:
+            space._load_image(image)
         space._finish_recovery()
-        return replayed
+        return folded

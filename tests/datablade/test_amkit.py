@@ -145,11 +145,10 @@ SAMPLES = {
 }
 
 
-@pytest.mark.parametrize("am", sorted(AMS))
-def test_catalog_hints_name_real_routines(am):
+def check_hints(server) -> int:
     """Every recorded commutator and negator names an existing routine
-    of the same signature, and ``f(a, b) == commutator(b, a)``."""
-    server, _ = make_server(am)
+    of the same signature, and ``f(a, b) == commutator(b, a)``; returns
+    how many routines carry hints."""
     routines = server.catalog.routines
     checked = 0
     for name in routines.names():
@@ -174,5 +173,31 @@ def test_catalog_hints_name_real_routines(am):
                 for a, b in itertools.product(values, repeat=2):
                     assert routine(a, b) != negator(a, b)
             checked += 1
-    if am in ("btree_am", "hblade_am", "grtree_am"):
+    return checked
+
+
+@pytest.mark.parametrize("am", sorted(AMS))
+def test_catalog_hints_name_real_routines(am):
+    server, _ = make_server(am)
+    checked = check_hints(server)
+    if am in ("btree_am", "hblade_am", "grtree_am", "rtree_am"):
         assert checked > 0
+
+
+def test_catalog_hints_are_per_overload():
+    """The R-tree and GR-tree blades both register ``Contains``; each
+    blade's hint lands on its own overload only, in either order."""
+    for order in ((register_rtree_blade, register_grtree_blade),
+                  (register_grtree_blade, register_rtree_blade)):
+        server = DatabaseServer(clock=Clock(now=100))
+        for register in order:
+            register(server)
+        routines = server.catalog.routines
+        boxes = routines.resolve("Contains", ["BOX", "BOX"])
+        extents = routines.resolve(
+            "Contains", ["GRT_TimeExtent_t", "GRT_TimeExtent_t"]
+        )
+        assert boxes.commutator == "Within"
+        assert extents.commutator == "ContainedIn"
+        assert routines.resolve("Within", ["BOX", "BOX"]).commutator == "Contains"
+        assert check_hints(server) == 8

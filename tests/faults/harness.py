@@ -21,10 +21,11 @@ The crash model for an embedded engine (one process, simulated clock):
 =========================== ======================================
 volatile -- lost at crash   durable -- survives
 =========================== ======================================
-sbspace pages               the write-ahead log
-buffer pools, node caches   system catalog and heap tables
-the lock table              (modeled as dbspace-resident data the
-open sessions/transactions  host server logs on its own, Section
+sbspace pages               the write-ahead log and the
+buffer pools, node caches   checkpoint images it installed
+the lock table              system catalog and heap tables
+open sessions/transactions  (modeled as dbspace-resident data the
+                            host server logs on its own, Section
                             5.3 of the paper)
 =========================== ======================================
 """

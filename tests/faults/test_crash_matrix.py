@@ -14,7 +14,9 @@ fails the suite.
 import pytest
 
 from repro.faults import CATALOG
+from repro.storage import wal as wal_module
 from tests.faults.harness import (
+    COMMITTED,
     CRASHED,
     CrashHarness,
     HybridCrashHarness,
@@ -42,6 +44,16 @@ HYBRID_POINTS = [
     "hblade.tree_write",
 ]
 
+#: The checkpoint's three windows: before the new sbspace images are
+#: built, before they replace the old ones, and while folded records
+#: drop their page images.  A commit checkpoints before its COMMIT
+#: record, so a crash in any window is a crash before that commit.
+CHECKPOINT_POINTS = [
+    "wal.checkpoint.fold",
+    "wal.checkpoint.install",
+    "wal.checkpoint.release",
+]
+
 #: Failpoints a sbspace-backed embedded engine never traverses: the
 #: OS-file store is exercised by tests/storage/test_wal_idempotency.py
 #: (checksummed reads are the *developer's* recovery story, Section 6),
@@ -58,7 +70,9 @@ EXCLUDED = [
 
 
 def test_matrix_covers_the_whole_catalog():
-    assert sorted(STORAGE_POINTS + HYBRID_POINTS + EXCLUDED) == sorted(CATALOG)
+    assert sorted(
+        STORAGE_POINTS + HYBRID_POINTS + CHECKPOINT_POINTS + EXCLUDED
+    ) == sorted(CATALOG)
 
 
 @pytest.mark.parametrize("hit", [1, 2, 5, 13])
@@ -152,3 +166,66 @@ def test_repeated_crashes_at_the_same_point(point):
     # After the final recovery, the engine still takes commits.
     assert harness.run_batch(["final0", "final1"]) == "committed"
     harness.verify()
+
+
+#: Records below the horizon that make a commit checkpoint in the
+#: checkpoint crash cases: small, so a short workload folds often.
+SMALL_CHECKPOINT = 24
+
+
+@pytest.mark.parametrize("hit", [1, 2, 5])
+@pytest.mark.parametrize("point", CHECKPOINT_POINTS)
+def test_crash_mid_checkpoint_heals_to_committed_prefix(
+    point, hit, monkeypatch
+):
+    """Crash while a commit folds the log; recovery starts from the
+    image installed last and lands on the committed prefix, and the
+    recovered engine goes on checkpointing and recovering."""
+    monkeypatch.setattr(wal_module, "CHECKPOINT_RECORDS", SMALL_CHECKPOINT)
+    harness = CrashHarness()
+    harness.run_batch([f"pre{i}" for i in range(6)])
+    harness.arm(point, "crash", hit=hit, times=1)
+    outcomes = random_workload(harness, seed=hit * 17 + len(point), steps=60)
+    assert outcomes[-1] == CRASHED, (
+        f"failpoint {point} (hit={hit}) never fired in "
+        f"{len(outcomes)} workload steps"
+    )
+    assert harness.crashed == point
+    harness.recover()
+    harness.verify()
+    assert_folded_records_released(harness.server.wal)
+    for i in range(8):
+        assert harness.run_batch([f"post{i}.0", f"post{i}.1"]) == COMMITTED
+    assert harness.server.wal.checkpoint_stats()["checkpoints"] > 0
+    harness.recover()
+    harness.verify()
+    assert_folded_records_released(harness.server.wal)
+
+
+def assert_folded_records_released(wal):
+    """No folded record keeps its page images, and the retained bytes
+    are those of the unfolded records alone: a crash in the release
+    window leaves nothing behind once the next checkpoint ran."""
+    stats = wal.checkpoint_stats()
+    records = list(wal.records())
+    folded = records[:stats["folded_lsn"]]
+    assert all(r.before is None and r.after is None for r in folded)
+    assert stats["retained_bytes"] == sum(
+        len(r.before or b"") + len(r.after or b"")
+        for r in records[stats["folded_lsn"]:]
+    )
+
+
+@pytest.mark.parametrize("point", CHECKPOINT_POINTS)
+def test_hybrid_crash_mid_checkpoint(point, monkeypatch):
+    """The same windows over the hybrid AM's two blobs per index."""
+    monkeypatch.setattr(wal_module, "CHECKPOINT_RECORDS", SMALL_CHECKPOINT)
+    harness = HybridCrashHarness()
+    harness.run_batch([f"pre{i}" for i in range(6)])
+    harness.arm(point, "crash", hit=2, times=1)
+    outcomes = hybrid_random_workload(harness, seed=71 + len(point), steps=80)
+    assert outcomes[-1] == CRASHED
+    assert harness.crashed == point
+    harness.recover()
+    harness.verify()
+    assert_folded_records_released(harness.server.wal)

@@ -126,8 +126,8 @@ class TestRoutines:
 
     def test_negator_commutator(self):
         registry = self.make()
-        registry.set_commutator("f", "f")
-        registry.set_negator("f", "not_f")
+        registry.set_commutator("f", "f", ["INTEGER"])
+        registry.set_negator("f", "not_f", ["INTEGER"])
         routine = registry.resolve("f", ["INTEGER"])
         assert routine.commutator == "f"
         assert routine.negator == "not_f"

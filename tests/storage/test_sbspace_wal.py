@@ -269,7 +269,7 @@ class TestWalDiscipline:
     def test_records_are_lsn_ordered(self):
         wal = WriteAheadLog()
         wal.log_begin(1)
-        wal.log_create_lo(1, "LO:x")
+        wal.log_create_lo(1, "LO:x", "s")
         wal.log_commit(1)
         lsns = [r.lsn for r in wal.records()]
         assert lsns == sorted(lsns) == [0, 1, 2]

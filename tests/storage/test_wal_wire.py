@@ -100,10 +100,10 @@ def test_stats_exposes_last_lsn_and_kind_counts():
     assert wal.stats()["last_lsn"] == -1
     txn = 1
     wal.log_begin(txn)
-    wal.log_create_lo(txn, "spc:1")
-    wal.log_page_alloc(txn, "spc:1", 0)
-    wal.log_page_write(txn, "spc:1", 0, b"old", b"new")
-    wal.log_page_write(txn, "spc:1", 0, b"new", b"newer")
+    wal.log_create_lo(txn, "spc:1", "spc")
+    wal.log_page_alloc(txn, "spc:1", 0, "spc")
+    wal.log_page_write(txn, "spc:1", 0, b"old", b"new", "spc")
+    wal.log_page_write(txn, "spc:1", 0, b"new", b"newer", "spc")
     wal.log_commit(txn)
     stats = wal.stats()
     assert stats["last_lsn"] == 5
@@ -145,7 +145,7 @@ def test_stats_does_not_require_reaching_into_records():
     wal = WriteAheadLog()
     for txn in range(1, 30):
         wal.log_begin(txn)
-        wal.log_page_write(txn, "spc:1", txn, b"a", b"b")
+        wal.log_page_write(txn, "spc:1", txn, b"a", b"b", "spc")
         (wal.log_commit if txn % 3 else wal.log_abort)(txn)
     stats = wal.stats()
     records = list(wal.records())
